@@ -1,11 +1,15 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/fleet"
 	"repro/internal/obs"
+	"repro/internal/scenario"
 	"repro/internal/tco"
 	"repro/internal/workload"
 )
@@ -128,12 +132,10 @@ func TestRunFleetStudyMixed(t *testing.T) {
 	}
 }
 
-// TestFleetStudyKernelPathsAgree pins that the study layer rides the
-// fleet's compiled kernel without changing a single bit of the results:
-// a default study (no registry → compiled struct-of-arrays path) and an
-// observed study (registry attached → instrumented reference path) must
-// produce identical headline numbers. This is the core-level face of
-// fleet's TestCompiledMatchesSlow.
+// TestFleetStudyKernelPathsAgree pins that watching a study does not change
+// its results: a default study and an observed study (registry attached,
+// so the fleet also derives wax telemetry) must produce identical headline
+// numbers. This is the core-level face of fleet's TestCompiledMatchesSlow.
 func TestFleetStudyKernelPathsAgree(t *testing.T) {
 	spec := FleetSpec{
 		Mix: []FleetClass{
@@ -172,4 +174,66 @@ func TestFleetStudyKernelPathsAgree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestScenarioCorpusObserveIdentity extends the observe check to the whole
+// scenario corpus: every entry run through RunScenarioStudy with and
+// without a registry attached must yield bit-identical floats throughout
+// its ScenarioResult, traces included.
+func TestScenarioCorpusObserveIdentity(t *testing.T) {
+	plain, observed := NewStudy(), NewStudy()
+	observed.Observe(obs.New())
+	for _, name := range scenario.Names() {
+		spec := ScenarioSpec{Name: name, Workers: 2}
+		want, err := plain.RunScenarioStudy(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := observed.RunScenarioStudy(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if diffs := floatBitsDiff(name, reflect.ValueOf(*want), reflect.ValueOf(*got)); len(diffs) > 0 {
+			t.Errorf("observed run differs: %v", diffs)
+		}
+	}
+}
+
+// floatBitsDiff walks two values of the same type and names every float64
+// whose bits differ, plus any other field that is not equal.
+func floatBitsDiff(path string, a, b reflect.Value) []string {
+	switch a.Kind() {
+	case reflect.Float64:
+		if math.Float64bits(a.Float()) != math.Float64bits(b.Float()) {
+			return []string{fmt.Sprintf("%s: %v != %v", path, a.Float(), b.Float())}
+		}
+	case reflect.Pointer:
+		if a.IsNil() || b.IsNil() {
+			if a.IsNil() != b.IsNil() {
+				return []string{path + ": nil mismatch"}
+			}
+			return nil
+		}
+		return floatBitsDiff(path, a.Elem(), b.Elem())
+	case reflect.Struct:
+		var out []string
+		for i := 0; i < a.NumField(); i++ {
+			out = append(out, floatBitsDiff(path+"."+a.Type().Field(i).Name, a.Field(i), b.Field(i))...)
+		}
+		return out
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			return []string{fmt.Sprintf("%s: length %d != %d", path, a.Len(), b.Len())}
+		}
+		var out []string
+		for i := 0; i < a.Len(); i++ {
+			out = append(out, floatBitsDiff(fmt.Sprintf("%s[%d]", path, i), a.Index(i), b.Index(i))...)
+		}
+		return out
+	default:
+		if !reflect.DeepEqual(a.Interface(), b.Interface()) {
+			return []string{fmt.Sprintf("%s: %v != %v", path, a.Interface(), b.Interface())}
+		}
+	}
+	return nil
 }

@@ -1,15 +1,18 @@
 package fleet
 
 import (
+	"fmt"
+
 	"repro/internal/pcm"
 	"repro/internal/server"
 )
 
-// This file is the fleet's compile pass: the per-rack pointer-chasing run
-// state — one *pcm.State heap object per rack, rackSpec structs pointing
-// at shared Configs and ROMs — is lowered at New into struct-of-arrays
-// form, and the epoch's parallel section runs as a fused per-shard kernel
-// (stepShard) marching contiguous rack ranges over flat float64 slices.
+// This file is the fleet's compile pass and its epoch kernel: the per-rack
+// builder representation (rackSpec structs pointing at shared Configs and
+// ROMs) is lowered at New into struct-of-arrays form, and the epoch's
+// parallel section runs as a fused per-shard kernel (stepShard) marching
+// contiguous rack ranges over flat float64 slices. Every run executes it,
+// observed or not.
 //
 // What is deduplicated per class, and what stays per rack:
 //
@@ -23,20 +26,20 @@ import (
 //   - Per rack (runState): the four pcm flat-state scalars (enthalpy,
 //     reference temperature, wax mass, shell capacity) as contiguous
 //     slices, alongside the fault multipliers (capLost/flowLoss/haScale/
-//     retention) and ceilings the slow path already kept flat.
+//     retention) and ceilings.
 //
-// The kernel mirrors stepRackSlow operation for operation — the pcm
-// exchange arithmetic is literally the same function (pcm/flat.go), the
-// power loop preserves Config.PowerAt's component order, and the wake-air
-// fit is the class ROM itself — so compiled runs are bit-identical to the
-// reference path; TestCompiledMatchesSlow pins this over a faulted,
-// autoscaled run at several worker counts.
+// The kernel runs the pcm.State arithmetic over those scalars — the
+// exchange is literally the same function (pcm/flat.go), the power loop
+// preserves Config.PowerAt's component order, and the wake-air fit is the
+// class ROM itself — so it is bit-identical to stepping one pcm.State per
+// rack. TestCompiledMatchesSlow pins this against that per-rack oracle
+// (compile_test.go) over a faulted, autoscaled run at several worker
+// counts.
 //
-// The compiled kernel is selected whenever no telemetry registry is
-// attached. An attached registry keeps the reference path: per-rack wax
-// phase-transition counters and events require the pcm.State machine, and
-// instrument-name construction is deferred to that path too, so an
-// unobserved run allocates nothing per rack beyond the flat slices.
+// Wax telemetry never enters the kernel: with a registry attached, the
+// epoch merge classifies each wax rack's post-step enthalpy with
+// pcm.FlatPhase and records melt/freeze transitions in rack order (see
+// notePhase), so watching a run does not change how it executes.
 
 // compiledClass holds the constants every rack of one class shares.
 type compiledClass struct {
@@ -94,8 +97,7 @@ func (f *Fleet) compile() error {
 		cl.enc = rk.rom.Enclosure
 		cl.hA = rk.rom.HA
 		cl.latentJ = rk.rom.LatentCapacity()
-		// One reference state per class seeds every rack's flat scalars —
-		// the slow path builds an identical State per rack.
+		// One reference state per class seeds every rack's flat scalars.
 		wax, err := rk.rom.NewWaxState()
 		if err != nil {
 			return err
@@ -106,56 +108,49 @@ func (f *Fleet) compile() error {
 	return nil
 }
 
-// compiledRun reports whether a run uses the fused kernel: compiled state
-// exists, no telemetry registry is attached (per-rack wax telemetry needs
-// the pcm.State machine), and no test forced the reference path.
-func (f *Fleet) compiledRun() bool {
-	return f.comp != nil && f.reg == nil && !f.forceSlow
-}
-
-// waxRemainingFrac returns rack r's unspent latent-capacity fraction —
-// remainingFraction over whichever state representation the run carries,
-// with identical arithmetic in both.
-func (f *Fleet) waxRemainingFrac(st *runState, r int) float64 {
-	if st.waxes != nil {
-		return remainingFraction(st.waxes[r], st.latent[r])
-	}
-	if st.latent[r] <= 0 {
+// waxRemaining is a wax rack's unspent latent-capacity fraction given its
+// liquid fraction. A rack without wax — or with fully degraded wax — has
+// latentJ zero; guard it so the fraction is 0, not NaN.
+func waxRemaining(liquidFrac, latentJ float64) float64 {
+	if latentJ <= 0 {
 		return 0
 	}
+	return clamp01((1 - liquidFrac) * latentJ / latentJ)
+}
+
+// waxPhase classifies rack r's current wax enthalpy.
+func (f *Fleet) waxPhase(st *runState, r int) pcm.MeltState {
 	cl := &f.comp.classes[f.comp.class[r]]
-	_, lf := pcm.FlatSolve(cl.enc, st.wRefC[r], st.wMass[r], st.wShell[r], st.wEnthalpy[r])
-	return clamp01((1 - lf) * st.latent[r] / st.latent[r])
+	return pcm.FlatPhase(cl.enc, st.wRefC[r], st.wMass[r], st.wShell[r], st.wEnthalpy[r])
 }
 
-// waxRemainingAfterStep is waxRemainingFrac for the merge step, where the
-// epoch's liquid fraction has already been solved into buf.liquid: the
-// compiled path reuses it instead of re-running the bisection. The
-// reference path's remainingFraction solves from the same unchanged
-// enthalpy, so the two produce identical bits.
-func (f *Fleet) waxRemainingAfterStep(st *runState, r int) float64 {
-	if st.waxes != nil {
-		return remainingFraction(st.waxes[r], st.latent[r])
+// notePhase derives rack r's wax telemetry after an epoch ending at tEnd:
+// it classifies the post-step enthalpy and records any melt/freeze
+// transition from the phase tracked since the previous epoch, under the
+// label "<class>/rack<i>". Called from the sequential merge in rack order,
+// so the event log is the same at every worker count.
+func (f *Fleet) notePhase(st *runState, r int, tEnd float64) {
+	p := f.waxPhase(st, r)
+	if p == st.phase[r] {
+		return
 	}
-	if st.latent[r] <= 0 {
-		return 0
-	}
-	return clamp01((1 - st.buf.liquid[r]) * st.latent[r] / st.latent[r])
+	st.phases.Record(tEnd, fmt.Sprintf("%s/rack%d", f.racks[r].cfg.Name, r), st.phase[r], p, st.wEnthalpy[r])
+	st.phase[r] = p
 }
 
 // stepShard is the fused epoch kernel: it advances the contiguous rack
-// range [lo, hi) by one epoch over the flat arrays. It mirrors
-// stepRackSlow operation for operation — same clamps, same component
-// summation order, same pcm exchange arithmetic — so the two paths are
-// bit-identical. Called only by the worker owning the shard; every slice
-// element it touches is indexed by r, so shards never share state.
+// range [lo, hi) by one epoch over the flat arrays: the same per-server
+// physics as the fluid engine (power at the assigned utilization; wax
+// exchanging heat with the ROM's wake air), scaled by the live rack
+// population, with the fault state folded in — a room excursion and
+// reduced airflow raise the wake temperature the wax sees, and lost
+// capacity idles its share of the servers. Called only by the worker
+// owning the shard; every slice element it touches is indexed by r, so
+// shards never share state.
 func (f *Fleet) stepShard(lo, hi int, t, dt float64, st *runState) {
 	c := f.comp
 	buf := st.buf
 	for r := lo; r < hi; r++ {
-		if f.testStepHook != nil {
-			f.testStepHook(r)
-		}
 		cl := &c.classes[c.class[r]]
 		live := 1 - st.capLost[r]
 		if live <= 0 {

@@ -1,9 +1,14 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 
+	"repro/internal/obs"
+	"repro/internal/pcm"
 	"repro/internal/server"
 	"repro/internal/timeseries"
 	"repro/internal/workload"
@@ -55,7 +60,7 @@ func bitsEqualSeries(a, b *timeseries.Series) (int, bool) {
 }
 
 // requireRunsIdentical asserts every physical output of two runs is
-// bit-identical (execution metadata — Kernel, Workers — excluded).
+// bit-identical (execution metadata — Workers — excluded).
 func requireRunsIdentical(t *testing.T, name string, want, got *Run) {
 	t.Helper()
 	for _, s := range []struct {
@@ -102,14 +107,119 @@ func requireRunsIdentical(t *testing.T, name string, want, got *Run) {
 	}
 }
 
-// TestCompiledMatchesSlow pins the tentpole equivalence: the compiled
-// struct-of-arrays kernel reproduces the reference per-rack path bit for
-// bit over a faulted, autoscaled two-day run — every fault kind the
-// kernel handles (chiller trip, fan and wax degradation, capacity loss,
-// sensor faults, surge) plus closed-loop ceilings — at worker counts 1
-// and 8, in every combination.
-func TestCompiledMatchesSlow(t *testing.T) {
-	tr := twoDayTrace(t)
+// slowOracle is the reference path the fused kernel is pinned against: one
+// *pcm.State per wax rack, stepped rack by rack through the pointer-based
+// state machine and Config.PowerAt. Installed as the fleet's shardStep
+// seam, it advances its own states, rebuilds a rack's state on the
+// degraded enclosure when a wax-degrade event lowers the rack's retention,
+// and writes the flat scalars back so the sequential section reads the
+// oracle's wax. With a registry it instruments every state, so phase
+// telemetry comes from the pcm.State tracker, emitted from the workers.
+type slowOracle struct {
+	f         *Fleet
+	reg       *obs.Registry
+	waxes     []*pcm.State
+	retention []float64
+}
+
+func installSlowOracle(t testing.TB, f *Fleet, reg *obs.Registry) {
+	t.Helper()
+	o := &slowOracle{
+		f:         f,
+		reg:       reg,
+		waxes:     make([]*pcm.State, len(f.racks)),
+		retention: make([]float64, len(f.racks)),
+	}
+	for i, rk := range f.racks {
+		o.retention[i] = 1
+		if rk.rom == nil {
+			continue
+		}
+		wax, err := rk.rom.NewWaxState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wax.Instrument(reg, o.label(i))
+		o.waxes[i] = wax
+	}
+	f.shardStep = func(lo, hi int, t, dt float64, st *runState) {
+		for r := lo; r < hi; r++ {
+			o.stepRack(r, t, dt, st)
+		}
+	}
+}
+
+func (o *slowOracle) label(r int) string {
+	return fmt.Sprintf("%s/rack%d", o.f.racks[r].cfg.Name, r)
+}
+
+// stepRack advances one rack by one epoch on the oracle's own state.
+func (o *slowOracle) stepRack(r int, t, dt float64, st *runState) {
+	rk := &o.f.racks[r]
+	buf := st.buf
+	wax := o.waxes[r]
+	if wax != nil && st.retention[r] != o.retention[r] {
+		o.retention[r] = st.retention[r]
+		orig := rk.rom.Enclosure
+		enc, err := pcm.NewEnclosure(orig.Material, orig.Box, orig.Count, orig.FillFraction*st.retention[r])
+		if err != nil {
+			panic(err)
+		}
+		enc.MeshConductivityBoost = orig.MeshConductivityBoost
+		if wax, err = pcm.NewState(enc, wax.Temperature()); err != nil {
+			panic(err)
+		}
+		wax.Instrument(o.reg, o.label(r))
+		o.waxes[r] = wax
+	}
+	defer func() {
+		if wax != nil {
+			st.wEnthalpy[r], st.wRefC[r], st.wMass[r], st.wShell[r] = wax.Flat()
+		}
+	}()
+	live := 1 - st.capLost[r]
+	if live <= 0 {
+		buf.powerW[r] = 0
+		buf.coolingW[r] = 0
+		if wax != nil {
+			buf.liquid[r] = wax.LiquidFraction()
+		}
+		return
+	}
+	u := buf.assign[r] / live
+	if u > 1 {
+		u = 1
+	}
+	scale := float64(rk.servers) * live
+	power := rk.cfg.PowerAt(u, 1)
+	coolingPerServer := power
+	if wax != nil {
+		wax.SetSimTime(t)
+		wake := rk.rom.WakeAirC(u, 1)
+		if st.roomRise != 0 || st.flowLoss[r] != 0 {
+			rise := wake - rk.cfg.InletC
+			wake = rk.cfg.InletC + st.roomRise + rise/(1-st.flowLoss[r])
+		}
+		q := wax.ExchangeWithAir(wake, rk.rom.HA*st.haScale[r], dt)
+		coolingPerServer = power - q/dt
+		if q > 0 {
+			buf.absorbed[r] += q * scale
+		} else {
+			buf.released[r] -= q * scale
+		}
+		buf.liquid[r] = wax.LiquidFraction()
+	}
+	buf.powerW[r] = power * scale
+	buf.coolingW[r] = coolingPerServer * scale
+}
+
+// equivalenceRun runs the compile-pass equivalence scenario: a faulted,
+// autoscaled two-day run over every fault kind the kernel handles (chiller
+// trip, fan and wax degradation, capacity loss, sensor faults, surge) plus
+// closed-loop ceilings. reg is attached to the fleet; with oracle set the
+// epochs step through slowOracle, instrumented with oracleReg.
+func equivalenceRun(t *testing.T, workers int, reg *obs.Registry, oracle bool, oracleReg *obs.Registry) *Run {
+	t.Helper()
 	sched := mustSchedule(t, `
 		3h chiller-trip for 45m
 		6h rack 1 fan-degrade 0.5 for 8h
@@ -121,36 +231,36 @@ func TestCompiledMatchesSlow(t *testing.T) {
 		30h class 0 wax-degrade 0.8
 		33h chiller-trip for 30m
 	`)
-	mk := func(workers int, slow bool) *Run {
-		t.Helper()
-		f, err := New(Config{
-			Classes: []ClassSpec{
-				{Cfg: server.OneU(), Racks: 9, WithWax: true, ROM: testROM(t)},
-				{Cfg: server.OneU(), Racks: 5},
-			},
-			Policy:  FaultAware{},
-			Workers: workers,
-			Faults:  sched,
-			Scaler:  rampScaler{},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.forceSlow = slow
-		run, err := f.Run(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantKernel := "compiled"
-		if slow {
-			wantKernel = "reference"
-		}
-		if run.Kernel != wantKernel {
-			t.Fatalf("Kernel = %q, want %q", run.Kernel, wantKernel)
-		}
-		return run
+	f, err := New(Config{
+		Classes: []ClassSpec{
+			{Cfg: server.OneU(), Racks: 9, WithWax: true, ROM: testROM(t)},
+			{Cfg: server.OneU(), Racks: 5},
+		},
+		Policy:  FaultAware{},
+		Workers: workers,
+		Faults:  sched,
+		Scaler:  rampScaler{},
+		Obs:     reg,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	ref := mk(1, true)
+	if oracle {
+		installSlowOracle(t, f, oracleReg)
+	}
+	run, err := f.Run(twoDayTrace(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
+
+// TestCompiledMatchesSlow pins the kernel equivalence: the struct-of-arrays
+// kernel reproduces the per-rack pcm.State oracle bit for bit over the
+// faulted, autoscaled two-day run, at worker counts 1 and 8, with and
+// without a telemetry registry attached.
+func TestCompiledMatchesSlow(t *testing.T) {
+	ref := equivalenceRun(t, 1, nil, true, nil)
 	if ref.FaultEvents == 0 || ref.AutoscaleEpochs == 0 {
 		t.Fatalf("reference run did not exercise faults (%d) or autoscaling (%d)",
 			ref.FaultEvents, ref.AutoscaleEpochs)
@@ -158,9 +268,84 @@ func TestCompiledMatchesSlow(t *testing.T) {
 	if math.IsNaN(ref.ThrottleOnsetS) {
 		t.Fatal("reference run never throttled; scenario too mild to pin ride-through")
 	}
-	requireRunsIdentical(t, "reference w=8", ref, mk(8, true))
-	requireRunsIdentical(t, "compiled w=1", ref, mk(1, false))
-	requireRunsIdentical(t, "compiled w=8", ref, mk(8, false))
+	requireRunsIdentical(t, "reference w=8", ref, equivalenceRun(t, 8, nil, true, nil))
+	for _, workers := range []int{1, 8} {
+		requireRunsIdentical(t, fmt.Sprintf("compiled w=%d", workers), ref,
+			equivalenceRun(t, workers, nil, false, nil))
+		requireRunsIdentical(t, fmt.Sprintf("observed w=%d", workers), ref,
+			equivalenceRun(t, workers, obs.New(), false, nil))
+	}
+}
+
+// phaseCounters are the transition counters both telemetry paths feed.
+var phaseCounters = []string{"pcm.melt_started", "pcm.melt_completed", "pcm.freeze_started", "pcm.freeze_completed"}
+
+type telemetryEvent struct {
+	kind, name   string
+	tBits, vBits uint64
+}
+
+func phaseEvents(reg *obs.Registry) []telemetryEvent {
+	var out []telemetryEvent
+	for _, e := range reg.Events().Events() {
+		out = append(out, telemetryEvent{e.Kind, e.Name, math.Float64bits(e.SimTimeS), math.Float64bits(e.Value)})
+	}
+	return out
+}
+
+// TestDerivedWaxTelemetryMatchesOracle pins the wax telemetry the epoch
+// merge derives against what instrumented pcm.States emit on the same
+// faulted, autoscaled run: equal transition counters and the same
+// (kind, label, time, enthalpy) events as a multiset — the oracle records
+// from worker goroutines, so its order is not defined — and an event
+// sequence that is identical at 1 and 8 workers.
+func TestDerivedWaxTelemetryMatchesOracle(t *testing.T) {
+	oracleReg := obs.New()
+	equivalenceRun(t, 8, nil, true, oracleReg)
+	want := oracleReg.Snapshot().Counters
+
+	regs := map[int]*obs.Registry{1: obs.New(), 8: obs.New()}
+	for workers, reg := range regs {
+		equivalenceRun(t, workers, reg, false, nil)
+		got := reg.Snapshot().Counters
+		for _, name := range phaseCounters {
+			if got[name] != want[name] {
+				t.Errorf("w=%d: %s = %d, oracle %d", workers, name, got[name], want[name])
+			}
+			if want[name] == 0 {
+				t.Errorf("oracle run never counted %s; scenario too mild to pin it", name)
+			}
+		}
+	}
+
+	if l := oracleReg.Events(); uint64(l.Len()) != l.Total() {
+		t.Fatalf("oracle event log overflowed (%d of %d kept)", l.Len(), l.Total())
+	}
+	wantEvents := phaseEvents(oracleReg)
+	sorted := func(evs []telemetryEvent) []telemetryEvent {
+		out := append([]telemetryEvent(nil), evs...)
+		sort.Slice(out, func(i, j int) bool {
+			a, b := out[i], out[j]
+			if a.tBits != b.tBits {
+				return math.Float64frombits(a.tBits) < math.Float64frombits(b.tBits)
+			}
+			if a.name != b.name {
+				return a.name < b.name
+			}
+			if a.kind != b.kind {
+				return a.kind < b.kind
+			}
+			return a.vBits < b.vBits
+		})
+		return out
+	}
+	seq1, seq8 := phaseEvents(regs[1]), phaseEvents(regs[8])
+	if !reflect.DeepEqual(sorted(seq1), sorted(wantEvents)) {
+		t.Errorf("derived events differ from the oracle's:\n got %v\nwant %v", sorted(seq1), sorted(wantEvents))
+	}
+	if !reflect.DeepEqual(seq1, seq8) {
+		t.Errorf("event sequence depends on the worker count:\nw=1 %v\nw=8 %v", seq1, seq8)
+	}
 }
 
 // TestCompiledZeroAllocsPerEpoch pins the steady-state epoch path of the
@@ -244,9 +429,6 @@ func TestMillionServerSmoke(t *testing.T) {
 	run, err := f.Run(tr)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if run.Kernel != "compiled" {
-		t.Fatalf("Kernel = %q, want compiled", run.Kernel)
 	}
 	for i, v := range run.PowerW.Values {
 		if !(v > 0) || math.IsInf(v, 0) {

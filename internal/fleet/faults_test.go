@@ -30,24 +30,23 @@ func mustSchedule(t testing.TB, scenario string) *faults.Schedule {
 
 // TestRemainingFractionZeroLatent pins the divide-by-zero guard: a rack
 // whose latent capacity is zero (no wax, or wax fully degraded away) must
-// report zero remaining fraction, not NaN — and must not dereference a
-// nil state.
+// report zero remaining fraction, not NaN.
 func TestRemainingFractionZeroLatent(t *testing.T) {
-	if got := remainingFraction(nil, 0); got != 0 {
-		t.Errorf("remainingFraction(nil, 0) = %v, want 0", got)
+	if got := waxRemaining(0, 0); got != 0 {
+		t.Errorf("waxRemaining(0, 0) = %v, want 0", got)
 	}
-	if got := remainingFraction(nil, -1); got != 0 {
-		t.Errorf("remainingFraction(nil, -1) = %v, want 0", got)
+	if got := waxRemaining(0.5, -1); got != 0 {
+		t.Errorf("waxRemaining(0.5, -1) = %v, want 0", got)
 	}
 	rom := testROM(t)
 	wax, err := rom.NewWaxState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := remainingFraction(wax, 0); got != 0 || math.IsNaN(got) {
-		t.Errorf("remainingFraction(wax, 0) = %v, want 0", got)
+	if got := waxRemaining(wax.LiquidFraction(), 0); got != 0 || math.IsNaN(got) {
+		t.Errorf("waxRemaining(fresh, 0) = %v, want 0", got)
 	}
-	if got := remainingFraction(wax, rom.LatentCapacity()); got <= 0 || got > 1 {
+	if got := waxRemaining(wax.LiquidFraction(), rom.LatentCapacity()); got <= 0 || got > 1 {
 		t.Errorf("fresh wax remaining fraction %v outside (0, 1]", got)
 	}
 }
@@ -152,10 +151,11 @@ func TestWorkerPanicNamesShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.testStepHook = func(rack int) {
-		if rack == 5 {
+	f.shardStep = func(lo, hi int, t, dt float64, st *runState) {
+		if lo <= 5 && 5 < hi {
 			panic("injected fault in rack step")
 		}
+		f.stepShard(lo, hi, t, dt, st)
 	}
 	run, err := f.Run(testTrace(t))
 	if run != nil || err == nil {
@@ -168,7 +168,7 @@ func TestWorkerPanicNamesShard(t *testing.T) {
 		}
 	}
 	// The fleet must stay usable: a clean run after the panic succeeds.
-	f.testStepHook = nil
+	f.shardStep = nil
 	if _, err := f.Run(testTrace(t)); err != nil {
 		t.Errorf("fleet unusable after recovered panic: %v", err)
 	}

@@ -168,20 +168,17 @@ type Fleet struct {
 	recorder *flightrec.Recorder
 	scaler   Scaler
 
-	// comp is the struct-of-arrays lowering built at New (compile.go);
-	// runs without a telemetry registry execute its fused kernel.
+	// comp is the struct-of-arrays lowering built at New (compile.go)
+	// whose fused kernel every run executes.
 	comp *compiled
-	// forceSlow pins a run to the reference per-rack path; set only by
-	// the compiled-vs-slow equivalence tests.
-	forceSlow bool
 
 	// maxInletC is the hottest class cold-aisle setpoint: the inlet that
 	// crosses the throttle trigger first during a room excursion.
 	maxInletC float64
 
-	// testStepHook, when set by a test, runs before every rack step; it
-	// exists to inject worker panics.
-	testStepHook func(rack int)
+	// shardStep, when set by a test, replaces stepShard in every worker:
+	// the seam for the per-rack reference oracle and for injected panics.
+	shardStep func(lo, hi int, t, dt float64, st *runState)
 }
 
 // New validates the configuration, derives any missing ROMs, and lays the
@@ -284,12 +281,9 @@ type Run struct {
 	ThrottledServerSeconds float64
 	// FaultEvents counts the schedule events applied during the run.
 	FaultEvents int
-	// Policy and Workers record how the run was executed; Kernel records
-	// which stepping path ran ("compiled" for the fused struct-of-arrays
-	// kernel, "reference" for the instrumented per-rack path).
+	// Policy and Workers record how the run was executed.
 	Policy  string
 	Workers int
-	Kernel  string
 
 	// Scaler names the autoscaler controller when one closed the loop
 	// ("" for an open-loop run), AutoscaleEpochs counts the epochs in
@@ -316,20 +310,13 @@ type epochBuf struct {
 // levels, plus the room excursion. The sequential epoch-loop sections own
 // it; workers read the per-rack slices for the racks of their shard only,
 // and the epoch barrier orders every write against every read.
-//
-// The wax state comes in exactly one of two representations per run:
-// compiled runs carry the four flat pcm scalars as contiguous slices
-// (wEnthalpy/wRefC/wMass/wShell, advanced by stepShard through the
-// pcm.Flat* primitives), reference runs carry one *pcm.State per rack
-// (waxes, advanced by stepRackSlow). Both fill latent identically.
 type runState struct {
 	buf    *epochBuf
-	waxes  []*pcm.State // reference path only; nil on compiled runs
-	latent []float64    // per-rack latent capacity, J (0 = no wax)
+	latent []float64 // per-rack latent capacity, J (0 = no wax)
 
-	// Flat wax state, compiled path only (nil on reference runs): the
-	// scalars pcm.State.Flat returns, one slot per rack, zero for racks
-	// without wax.
+	// Flat wax state advanced by stepShard through the pcm.Flat*
+	// primitives: the scalars pcm.State.Flat returns, one slot per rack,
+	// zero for racks without wax.
 	wEnthalpy []float64
 	wRefC     []float64
 	wMass     []float64
@@ -349,7 +336,11 @@ type runState struct {
 	roomCapJ float64 // room thermal mass frozen at the trip epoch, J/K
 	trigOffC float64 // autoscaler throttle-trigger offset, <= 0, applied next epoch
 
-	observed bool
+	// Derived wax telemetry, set only when a registry is attached and the
+	// fleet carries wax: each wax rack's melt state as of the last merge,
+	// and the recorder its transitions go to.
+	phase  []pcm.MeltState
+	phases *pcm.PhaseRecorder
 }
 
 // Run advances the fleet along the trace. The trace's Total series is the
@@ -377,16 +368,11 @@ func (f *Fleet) RunContext(ctx context.Context, tr *workload.Trace) (*Run, error
 	faultCounter := f.reg.Counter("fleet.fault_events")
 	throttleCounter := f.reg.Counter("fleet.throttle_epochs")
 
-	compiledRun := f.compiledRun()
 	out := &Run{
 		Policy:           f.policy.Name(),
 		Workers:          f.workers,
-		Kernel:           "reference",
 		RackPeakCoolingW: make([]float64, len(f.racks)),
 		ThrottleOnsetS:   math.NaN(),
-	}
-	if compiledRun {
-		out.Kernel = "compiled"
 	}
 	var err error
 	if out.PowerW, err = timeseries.New(tr.Total.Start, dt, n); err != nil {
@@ -412,6 +398,10 @@ func (f *Fleet) RunContext(ctx context.Context, tr *workload.Trace) (*Run, error
 			released: make([]float64, nr),
 		},
 		latent:      make([]float64, nr),
+		wEnthalpy:   make([]float64, nr),
+		wRefC:       make([]float64, nr),
+		wMass:       make([]float64, nr),
+		wShell:      make([]float64, nr),
 		capLost:     make([]float64, nr),
 		flowLoss:    make([]float64, nr),
 		haScale:     make([]float64, nr),
@@ -420,15 +410,6 @@ func (f *Fleet) RunContext(ctx context.Context, tr *workload.Trace) (*Run, error
 		sensorDrop:  make([]bool, nr),
 		throttled:   make([]bool, nr),
 		maxU:        make([]float64, nr),
-		observed:    f.reg != nil,
-	}
-	if compiledRun {
-		st.wEnthalpy = make([]float64, nr)
-		st.wRefC = make([]float64, nr)
-		st.wMass = make([]float64, nr)
-		st.wShell = make([]float64, nr)
-	} else {
-		st.waxes = make([]*pcm.State, nr)
 	}
 	views := make([]RackView, nr)
 	for i, rk := range f.racks {
@@ -439,30 +420,24 @@ func (f *Fleet) RunContext(ctx context.Context, tr *workload.Trace) (*Run, error
 		if rk.rom == nil {
 			continue
 		}
-		if compiledRun {
-			// Every rack of a class starts from the class's flat scalars,
-			// extracted once at compile time from the same NewWaxState the
-			// reference path constructs per rack.
-			cl := &f.comp.classes[rk.class]
-			st.wEnthalpy[i] = cl.initEnthalpy
-			st.wRefC[i] = cl.initRefC
-			st.wMass[i] = cl.initWaxMass
-			st.wShell[i] = cl.initShellCap
-			st.latent[i] = cl.latentJ
-		} else {
-			if st.waxes[i], err = rk.rom.NewWaxState(); err != nil {
-				return nil, err
-			}
-			if f.reg != nil {
-				// Instrument names are built only when a registry will
-				// consume them: at a million racks the Sprintf per rack is
-				// real setup cost on the unobserved path.
-				st.waxes[i].Instrument(f.reg, fmt.Sprintf("%s/rack%d", rk.cfg.Name, i))
-			}
-			st.latent[i] = rk.rom.LatentCapacity()
-		}
+		// Every rack of a class starts from the class's flat scalars,
+		// extracted once at compile time from the ROM's NewWaxState.
+		cl := &f.comp.classes[rk.class]
+		st.wEnthalpy[i] = cl.initEnthalpy
+		st.wRefC[i] = cl.initRefC
+		st.wMass[i] = cl.initWaxMass
+		st.wShell[i] = cl.initShellCap
+		st.latent[i] = cl.latentJ
+		_, lf := pcm.FlatSolve(cl.enc, st.wRefC[i], st.wMass[i], st.wShell[i], st.wEnthalpy[i])
 		views[i].HasWax = true
-		views[i].WaxRemaining = f.waxRemainingFrac(st, i)
+		views[i].WaxRemaining = waxRemaining(lf, st.latent[i])
+		if f.reg != nil {
+			if st.phases == nil {
+				st.phases = pcm.NewPhaseRecorder(f.reg)
+				st.phase = make([]pcm.MeltState, nr)
+			}
+			st.phase[i] = f.waxPhase(st, i)
+		}
 	}
 	if f.scaler != nil {
 		st.ceil = make([]float64, nr)
@@ -508,6 +483,10 @@ func (f *Fleet) RunContext(ctx context.Context, tr *workload.Trace) (*Run, error
 			wsp := f.reg.StartSpan("fleet.shard")
 			defer wsp.End()
 			steps := int64(sh.hi - sh.lo)
+			step := f.stepShard
+			if f.shardStep != nil {
+				step = f.shardStep
+			}
 			for ei := range job {
 				func() {
 					// A panic in a rack step must not strand the epoch
@@ -522,14 +501,7 @@ func (f *Fleet) RunContext(ctx context.Context, tr *workload.Trace) (*Run, error
 					if shardErrs[si] != nil {
 						return
 					}
-					t := tr.Total.TimeAt(ei)
-					if compiledRun {
-						f.stepShard(sh.lo, sh.hi, t, dt, st)
-					} else {
-						for r := sh.lo; r < sh.hi; r++ {
-							f.stepRackSlow(r, t, dt, st)
-						}
-					}
+					step(sh.lo, sh.hi, tr.Total.TimeAt(ei), dt, st)
 					rackSteps.Add(steps)
 					wsp.AddSimTime(dt)
 				}()
@@ -685,7 +657,10 @@ func (f *Fleet) RunContext(ctx context.Context, tr *workload.Trace) (*Run, error
 				liq += st.buf.liquid[r] * srv
 				liqServers += srv
 				if !st.sensorStuck[r] && !st.sensorDrop[r] {
-					views[r].WaxRemaining = f.waxRemainingAfterStep(st, r)
+					views[r].WaxRemaining = waxRemaining(st.buf.liquid[r], st.latent[r])
+				}
+				if st.phases != nil {
+					f.notePhase(st, r, t+dt)
 				}
 			}
 			if !st.sensorStuck[r] && !st.sensorDrop[r] {
@@ -803,33 +778,25 @@ func (f *Fleet) applyEvent(ev faults.Event, st *runState) error {
 				return fmt.Errorf("fleet: rack %d wax-degrade: %w", r, err)
 			}
 			enc.MeshConductivityBoost = orig.MeshConductivityBoost
-			if st.waxes != nil {
-				wax, err := pcm.NewState(enc, st.waxes[r].Temperature())
-				if err != nil {
-					return fmt.Errorf("fleet: rack %d wax-degrade: %w", r, err)
-				}
-				if f.reg != nil {
-					wax.Instrument(f.reg, fmt.Sprintf("%s/rack%d", rk.cfg.Name, r))
-				}
-				st.waxes[r] = wax
-			} else {
-				// Compiled path: solve the current temperature from the flat
-				// scalars, build the degraded state the same way the
-				// reference path does, and re-extract its scalars. The
-				// kernel keeps using the class enclosure — the exchange
-				// arithmetic reads only fill-independent fields from it
-				// (material curve, crust geometry), so the trajectories
-				// stay bit-identical to a reference run on the degraded
-				// enclosure.
-				cl := &f.comp.classes[f.comp.class[r]]
-				tNow, _ := pcm.FlatSolve(cl.enc, st.wRefC[r], st.wMass[r], st.wShell[r], st.wEnthalpy[r])
-				wax, err := pcm.NewState(enc, tNow)
-				if err != nil {
-					return fmt.Errorf("fleet: rack %d wax-degrade: %w", r, err)
-				}
-				st.wEnthalpy[r], st.wRefC[r], st.wMass[r], st.wShell[r] = wax.Flat()
+			// Rebuild the wax at its current temperature on the degraded
+			// enclosure and keep its scalars. The kernel keeps using the
+			// class enclosure — the exchange arithmetic reads only
+			// fill-independent fields from it (material curve, crust
+			// geometry), so the trajectory stays bit-identical to a
+			// pcm.State stepped on the degraded enclosure.
+			cl := &f.comp.classes[f.comp.class[r]]
+			tNow, _ := pcm.FlatSolve(cl.enc, st.wRefC[r], st.wMass[r], st.wShell[r], st.wEnthalpy[r])
+			wax, err := pcm.NewState(enc, tNow)
+			if err != nil {
+				return fmt.Errorf("fleet: rack %d wax-degrade: %w", r, err)
 			}
+			st.wEnthalpy[r], st.wRefC[r], st.wMass[r], st.wShell[r] = wax.Flat()
 			st.latent[r] = enc.LatentCapacity()
+			if st.phase != nil {
+				// A rebuilt enclosure re-seeds the tracker without
+				// counting a transition.
+				st.phase[r] = f.waxPhase(st, r)
+			}
 		}
 		return nil
 	}
@@ -860,76 +827,4 @@ func (f *Fleet) applyEvent(ev faults.Event, st *runState) error {
 		}
 		return nil
 	}
-}
-
-// stepRackSlow advances one rack by one epoch: the same per-server
-// physics as the fluid engine (power at the assigned utilization; wax
-// exchanging heat with the ROM's wake air), scaled by the live rack
-// population, with the fault state folded in — a room excursion and
-// reduced airflow raise the wake temperature the wax sees, and lost
-// capacity idles its share of the servers. Called only by the worker
-// owning the rack's shard.
-//
-// This is the reference path: it drives the instrumented pcm.State
-// machine, so it serves runs with a telemetry registry attached and it
-// anchors the compiled kernel — stepShard (compile.go) is this function
-// over flat arrays, pinned bit-identical by TestCompiledMatchesSlow.
-func (f *Fleet) stepRackSlow(r int, t, dt float64, st *runState) {
-	if f.testStepHook != nil {
-		f.testStepHook(r)
-	}
-	rk := &f.racks[r]
-	buf := st.buf
-	live := 1 - st.capLost[r]
-	if live <= 0 {
-		// Rack fully offline: no power, no airflow, wax coasts.
-		buf.powerW[r] = 0
-		buf.coolingW[r] = 0
-		if wax := st.waxes[r]; wax != nil {
-			buf.liquid[r] = wax.LiquidFraction()
-		}
-		return
-	}
-	// The assignment is in nominal-rack units; the live servers run
-	// proportionally hotter.
-	u := buf.assign[r] / live
-	if u > 1 {
-		u = 1
-	}
-	scale := float64(rk.servers) * live
-	power := rk.cfg.PowerAt(u, 1)
-	coolingPerServer := power
-	if wax := st.waxes[r]; wax != nil {
-		if st.observed {
-			wax.SetSimTime(t)
-		}
-		wake := rk.rom.WakeAirC(u, 1)
-		if st.roomRise != 0 || st.flowLoss[r] != 0 {
-			// Reduced flow carries the same heat on less air, so the wake
-			// rise over inlet scales inversely with the flow fraction;
-			// the room excursion shifts the whole profile up.
-			rise := wake - rk.cfg.InletC
-			wake = rk.cfg.InletC + st.roomRise + rise/(1-st.flowLoss[r])
-		}
-		q := wax.ExchangeWithAir(wake, rk.rom.HA*st.haScale[r], dt) // J absorbed from air, per server
-		coolingPerServer = power - q/dt
-		if q > 0 {
-			buf.absorbed[r] += q * scale
-		} else {
-			buf.released[r] -= q * scale
-		}
-		buf.liquid[r] = wax.LiquidFraction()
-	}
-	buf.powerW[r] = power * scale
-	buf.coolingW[r] = coolingPerServer * scale
-}
-
-// remainingFraction is the unspent latent capacity fraction of one wax
-// state. A rack without wax — or with fully degraded wax — has latentJ
-// zero; guard it so the fraction is 0, not NaN.
-func remainingFraction(wax *pcm.State, latentJ float64) float64 {
-	if latentJ <= 0 {
-		return 0
-	}
-	return clamp01(wax.RemainingLatent() / latentJ)
 }

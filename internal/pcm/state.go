@@ -27,25 +27,13 @@ type State struct {
 	// Telemetry (see Instrument); zero-valued and skipped entirely until a
 	// registry is attached, so the uninstrumented hot path only pays one
 	// branch.
-	observed   bool
-	label      string
-	phase      int8
-	hSol, hLiq float64
-	simTimeS   float64
-	meltStart  *obs.Counter
-	meltDone   *obs.Counter
-	frzStart   *obs.Counter
-	frzDone    *obs.Counter
-	substeps   *obs.Counter
-	events     *obs.EventLog
+	observed bool
+	label    string
+	phase    MeltState
+	simTimeS float64
+	phases   *PhaseRecorder
+	substeps *obs.Counter
 }
-
-// Phases of the lumped enclosure as seen by the transition tracker.
-const (
-	phaseSolid int8 = iota
-	phaseMixed
-	phaseLiquid
-)
 
 // Instrument attaches a telemetry registry: melt/freeze transition
 // counters, exchange sub-step counts, and phase-transition events tagged
@@ -57,13 +45,8 @@ func (s *State) Instrument(reg *obs.Registry, label string) {
 	}
 	s.observed = true
 	s.label = label
-	s.meltStart = reg.Counter("pcm.melt_started")
-	s.meltDone = reg.Counter("pcm.melt_completed")
-	s.frzStart = reg.Counter("pcm.freeze_started")
-	s.frzDone = reg.Counter("pcm.freeze_completed")
+	s.phases = NewPhaseRecorder(reg)
 	s.substeps = reg.Counter("pcm.exchange_substeps")
-	s.events = reg.Events()
-	s.refreshPhaseThresholds()
 	s.phase = s.phaseOf(s.enthalpyJ)
 }
 
@@ -72,25 +55,8 @@ func (s *State) Instrument(reg *obs.Registry, label string) {
 // each step.
 func (s *State) SetSimTime(t float64) { s.simTimeS = t }
 
-// refreshPhaseThresholds caches the enthalpies at which melting starts and
-// completes, so phase classification is two comparisons.
-func (s *State) refreshPhaseThresholds() {
-	m := &s.enc.Material
-	s.hSol = s.enthalpyAt(m.SolidusC())
-	s.hLiq = s.enthalpyAt(m.LiquidusC())
-}
-
-func (s *State) phaseOf(h float64) int8 {
-	// Tolerance keeps float dust at the kinks from flapping transitions.
-	tiny := 1e-9 * (math.Abs(s.hLiq) + 1)
-	switch {
-	case h <= s.hSol+tiny:
-		return phaseSolid
-	case h >= s.hLiq-tiny:
-		return phaseLiquid
-	default:
-		return phaseMixed
-	}
+func (s *State) phaseOf(h float64) MeltState {
+	return FlatPhase(s.enc, s.refC, s.waxMass, s.shellCapacity, h)
 }
 
 // notePhase detects melt/freeze transitions after an enthalpy change.
@@ -99,28 +65,8 @@ func (s *State) notePhase() {
 	if p == s.phase {
 		return
 	}
-	prev := s.phase
+	s.phases.Record(s.simTimeS, s.label, s.phase, p, s.enthalpyJ)
 	s.phase = p
-	if p > prev { // melting direction
-		if prev == phaseSolid {
-			s.meltStart.Inc()
-			s.events.Record(s.simTimeS, "pcm.melt_start", s.label, s.enthalpyJ, 0)
-		}
-		if p == phaseLiquid {
-			s.meltDone.Inc()
-			s.events.Record(s.simTimeS, "pcm.melt_complete", s.label, s.enthalpyJ, 0)
-		}
-		return
-	}
-	// Freezing direction.
-	if prev == phaseLiquid {
-		s.frzStart.Inc()
-		s.events.Record(s.simTimeS, "pcm.freeze_start", s.label, s.enthalpyJ, 0)
-	}
-	if p == phaseSolid {
-		s.frzDone.Inc()
-		s.events.Record(s.simTimeS, "pcm.freeze_complete", s.label, s.enthalpyJ, 0)
-	}
 }
 
 // NewState initializes the enclosure state in thermal equilibrium at

@@ -25,9 +25,10 @@ import (
 //   - Relaxation factors exp(−dt/τ) per node: refreshed by refreshRelax()
 //     only when dt or the flow-dependent conductances change.
 //
-// The arithmetic mirrors stepSlow operation for operation, in the same
-// order, so the compiled stepper is bit-compatible with the reference
-// path (the equivalence tests in compile_test.go pin this).
+// The arithmetic mirrors the pointer-graph reference stepper kept in
+// slow_test.go operation for operation, in the same order, so the compiled
+// stepper is bit-compatible with it (the equivalence tests in
+// compile_test.go pin this).
 
 // compiled is the flat-array lowering of one Model's network.
 type compiled struct {
