@@ -1,11 +1,11 @@
 package dcsim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"repro/internal/numeric"
 	"repro/internal/obs"
@@ -100,18 +100,53 @@ type event struct {
 	arrivedAt float64
 }
 
+// eventQueue is a binary min-heap of events ordered by time. push and pop
+// make container/heap's sift decisions (the same comparisons in the same
+// order) but move a hole instead of swapping, and hold events unboxed, so
+// events with equal times pop in exactly the order container/heap would
+// give them; heap_test.go checks this against container/heap.
 type eventQueue []event
 
-func (q eventQueue) Len() int            { return len(q) }
-func (q eventQueue) Less(i, j int) bool  { return q[i].at < q[j].at }
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
+// push adds e, sifting it up from the last leaf.
+func (q *eventQueue) push(e event) {
+	*q = append(*q, e)
+	h := *q
+	j := len(h) - 1
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !(e.at < h[i].at) {
+			break
+		}
+		h[j] = h[i]
+		j = i
+	}
+	h[j] = e
+}
+
+// pop removes and returns the earliest event: the last leaf takes the
+// root's place and sifts down. The queue must not be empty.
+func (q *eventQueue) pop() event {
+	h := *q
+	n := len(h) - 1
+	root, x := h[0], h[n]
+	i := 0
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].at < h[j].at {
+			j = j2 // right child
+		}
+		if !(h[j].at < x.at) {
+			break
+		}
+		h[i] = h[j]
+		i = j
+	}
+	h[i] = x
+	*q = h[:n]
+	return root
 }
 
 // serverSim is one machine's queueing state.
@@ -190,10 +225,10 @@ func RunEvents(tr *workload.Trace, opts EventOptions) (*EventResult, error) {
 			at := t0 + rng.Float64()*dt
 			jt := pickClass(rng, tr, i)
 			svc := rng.ExpFloat64() * opts.MeanServiceS * serviceScale(jt) / meanScale(tr, i)
-			heap.Push(&q, event{at: at, kind: 0, jobType: jt, serviceS: svc, arrivedAt: at})
+			q.push(event{at: at, kind: 0, jobType: jt, serviceS: svc, arrivedAt: at})
 		}
 	}
-	opts.Obs.Counter("dcsim.jobs_generated").Add(int64(q.Len()))
+	opts.Obs.Counter("dcsim.jobs_generated").Add(int64(len(q)))
 	gen.End()
 
 	res := &EventResult{CompletedByType: make(map[workload.JobType]int)}
@@ -242,15 +277,15 @@ func RunEvents(tr *workload.Trace, opts EventOptions) (*EventResult, error) {
 		servers[idx].accumulate(now)
 		servers[idx].busy++
 		busyTotal++
-		heap.Push(&q, event{
+		q.push(event{
 			at: now + e.serviceS, kind: 1, serverIdx: idx,
 			jobType: e.jobType, serviceS: e.serviceS, arrivedAt: e.arrivedAt,
 		})
 	}
 
 	drain := sp.Child("drain")
-	for q.Len() > 0 {
-		e := heap.Pop(&q).(event)
+	for len(q) > 0 {
+		e := q.pop()
 		if e.at > horizon {
 			break
 		}
@@ -289,11 +324,11 @@ func RunEvents(tr *workload.Trace, opts EventOptions) (*EventResult, error) {
 	opts.Obs.Counter("dcsim.jobs_dropped").Add(int64(res.Dropped))
 
 	if len(slowdowns) > 0 {
-		// Percentile copies and sorts internally; errors are impossible
-		// for a non-empty sample with in-range p.
-		res.SojournP50S, _ = numeric.Percentile(slowdowns, 50)
-		res.SojournP95S, _ = numeric.Percentile(slowdowns, 95)
-		res.SojournP99S, _ = numeric.Percentile(slowdowns, 99)
+		// One sort serves all three percentiles.
+		sort.Float64s(slowdowns)
+		res.SojournP50S = numeric.PercentileSorted(slowdowns, 50)
+		res.SojournP95S = numeric.PercentileSorted(slowdowns, 95)
+		res.SojournP99S = numeric.PercentileSorted(slowdowns, 99)
 	}
 	res.Utilization = util
 	res.UtilPerServer = make([]float64, opts.Servers)

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -171,6 +172,40 @@ func TestWorkerPanicNamesShard(t *testing.T) {
 	f.shardStep = nil
 	if _, err := f.Run(testTrace(t)); err != nil {
 		t.Errorf("fleet unusable after recovered panic: %v", err)
+	}
+}
+
+// TestLiquidFractionInvariant poisons one wax rack's enthalpy with NaN
+// through the shardStep seam and requires the merge to stop the run with
+// an error naming the rack, its class and the epoch time.
+func TestLiquidFractionInvariant(t *testing.T) {
+	f, err := New(Config{
+		Classes: []ClassSpec{{Cfg: server.OneU(), Racks: 4, WithWax: true}},
+		Workers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := testTrace(t)
+	tPoison := tr.Total.TimeAt(5)
+	f.shardStep = func(lo, hi int, t, dt float64, st *runState) {
+		if t == tPoison && lo <= 2 && 2 < hi {
+			st.wEnthalpy[2] = math.NaN()
+		}
+		f.stepShard(lo, hi, t, dt, st)
+	}
+	run, err := f.Run(tr)
+	if run != nil || err == nil {
+		t.Fatal("NaN liquid fraction did not stop the run")
+	}
+	for _, want := range []string{"rack 2 ", "(" + server.OneU().Name + ")", "NaN", fmt.Sprintf("t=%gs", tPoison)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("invariant error %q missing %q", err, want)
+		}
+	}
+	f.shardStep = nil
+	if _, err := f.Run(tr); err != nil {
+		t.Errorf("clean run after the poisoned one: %v", err)
 	}
 }
 

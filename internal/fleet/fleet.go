@@ -653,6 +653,12 @@ func (f *Fleet) RunContext(ctx context.Context, tr *workload.Trace) (*Run, error
 				out.RackPeakCoolingW[r] = st.buf.coolingW[r]
 			}
 			if f.racks[r].rom != nil {
+				// Physics invariant, checked on every run: the negated
+				// range test also rejects NaN.
+				if lf := st.buf.liquid[r]; !(lf >= 0 && lf <= 1) {
+					return nil, fmt.Errorf("fleet: rack %d (%s) wax liquid fraction %v outside [0, 1] after the epoch at t=%gs",
+						r, f.racks[r].cfg.Name, lf, t)
+				}
 				srv := float64(f.racks[r].servers)
 				liq += st.buf.liquid[r] * srv
 				liqServers += srv

@@ -80,8 +80,8 @@ type Policy interface {
 // capacity returns the fleet capacity in server-units.
 func capacity(racks []RackView) float64 {
 	total := 0.0
-	for _, r := range racks {
-		total += float64(r.Servers)
+	for i := range racks {
+		total += float64(racks[i].Servers)
 	}
 	return total
 }
@@ -93,9 +93,9 @@ func capacity(racks []RackView) float64 {
 func spill(work float64, racks []RackView, out []float64) {
 	for iter := 0; iter < len(racks) && work > 1e-12; iter++ {
 		headroom := 0.0
-		for i, r := range racks {
+		for i := range racks {
 			if out[i] < 1 {
-				headroom += (1 - out[i]) * float64(r.Servers)
+				headroom += (1 - out[i]) * float64(racks[i].Servers)
 			}
 		}
 		if headroom <= 0 {
@@ -106,13 +106,13 @@ func spill(work float64, racks []RackView, out []float64) {
 			frac = 1
 		}
 		placed := 0.0
-		for i, r := range racks {
+		for i := range racks {
 			if out[i] >= 1 {
 				continue
 			}
 			add := (1 - out[i]) * frac
 			out[i] += add
-			placed += add * float64(r.Servers)
+			placed += add * float64(racks[i].Servers)
 		}
 		work -= placed
 	}
@@ -152,10 +152,11 @@ func (LeastLoaded) Assign(demand float64, racks []RackView, out []float64) {
 	work := clamp01(demand) * capacity(racks)
 	perRack := work / float64(len(racks))
 	overflow := 0.0
-	for i, r := range racks {
-		u := perRack / float64(r.Servers)
+	for i := range racks {
+		servers := float64(racks[i].Servers)
+		u := perRack / servers
 		if u > 1 {
-			overflow += (u - 1) * float64(r.Servers)
+			overflow += (u - 1) * servers
 			u = 1
 		}
 		out[i] = u
@@ -196,8 +197,8 @@ func (p ThermalAware) Assign(demand float64, racks []RackView, out []float64) {
 	// no buffer at all and scores zero, so load drifts toward the
 	// retrofitted racks as the fleet heats up.
 	mean := 0.0
-	for _, r := range racks {
-		mean += r.WaxRemaining * float64(r.Servers)
+	for i := range racks {
+		mean += racks[i].WaxRemaining * float64(racks[i].Servers)
 	}
 	mean /= total
 
@@ -206,11 +207,13 @@ func (p ThermalAware) Assign(demand float64, racks []RackView, out []float64) {
 	// recomputes it instead of materializing a weights slice: Assign runs
 	// every epoch and must not allocate.
 	weightSum := 0.0
-	for _, r := range racks {
+	for i := range racks {
+		r := &racks[i]
 		weightSum += thermalWeight(r, skew, mean) * float64(r.Servers)
 	}
 	overflow := 0.0
-	for i, r := range racks {
+	for i := range racks {
+		r := &racks[i]
 		wi := thermalWeight(r, skew, mean) * float64(r.Servers)
 		u := work * wi / weightSum / float64(r.Servers)
 		if u > 1 {
@@ -224,7 +227,7 @@ func (p ThermalAware) Assign(demand float64, racks []RackView, out []float64) {
 
 // thermalWeight is ThermalAware's skew factor for one rack: headroom
 // relative to the fleet mean, floored so no rack's share collapses.
-func thermalWeight(r RackView, skew, mean float64) float64 {
+func thermalWeight(r *RackView, skew, mean float64) float64 {
 	w := 1 + skew*(r.WaxRemaining-mean)
 	if w < 0.05 {
 		w = 0.05
@@ -239,7 +242,8 @@ func thermalWeight(r RackView, skew, mean float64) float64 {
 func spillTo(work float64, racks []RackView, out []float64) {
 	for iter := 0; iter < len(racks) && work > 1e-12; iter++ {
 		headroom := 0.0
-		for i, r := range racks {
+		for i := range racks {
+			r := &racks[i]
 			if cap := r.UtilCeiling(); out[i] < cap {
 				headroom += (cap - out[i]) * float64(r.Servers)
 			}
@@ -252,7 +256,8 @@ func spillTo(work float64, racks []RackView, out []float64) {
 			frac = 1
 		}
 		placed := 0.0
-		for i, r := range racks {
+		for i := range racks {
+			r := &racks[i]
 			cap := r.UtilCeiling()
 			if out[i] >= cap {
 				continue
@@ -298,14 +303,16 @@ func (p FaultAware) Assign(demand float64, racks []RackView, out []float64) {
 	// of materializing caps/scores/weights slices: Assign runs every
 	// epoch and must not allocate.
 	var mean, total float64
-	for _, r := range racks {
+	for i := range racks {
+		r := &racks[i]
 		mean += faultScore(r) * float64(r.Servers)
 		total += float64(r.Servers)
 	}
 	mean /= total
 
 	weightSum := 0.0
-	for _, r := range racks {
+	for i := range racks {
+		r := &racks[i]
 		w := 1 + skew*(faultScore(r)-mean)
 		if w < 0.05 {
 			w = 0.05
@@ -313,7 +320,8 @@ func (p FaultAware) Assign(demand float64, racks []RackView, out []float64) {
 		weightSum += w * float64(r.Servers)
 	}
 	overflow := 0.0
-	for i, r := range racks {
+	for i := range racks {
+		r := &racks[i]
 		w := 1 + skew*(faultScore(r)-mean)
 		if w < 0.05 {
 			w = 0.05
@@ -334,7 +342,7 @@ func (p FaultAware) Assign(demand float64, racks []RackView, out []float64) {
 // thermal headroom eroded by inlet excursion and airflow loss.
 // Dead-sensor racks score a conservative floor — they still take load
 // (their capacity is presumed intact) but no more than necessary.
-func faultScore(r RackView) float64 {
+func faultScore(r *RackView) float64 {
 	s := 1.0
 	if r.HasWax {
 		s = r.WaxRemaining

@@ -87,19 +87,26 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
+	return PercentileSorted(sorted, p), nil
+}
+
+// PercentileSorted is Percentile over a sample already sorted ascending,
+// so callers reading several percentiles sort once. sorted must not be
+// empty.
+func PercentileSorted(sorted []float64, p float64) float64 {
 	if p <= 0 {
-		return sorted[0], nil
+		return sorted[0]
 	}
 	if p >= 100 {
-		return sorted[len(sorted)-1], nil
+		return sorted[len(sorted)-1]
 	}
 	rank := p / 100 * float64(len(sorted)-1)
 	lo := int(math.Floor(rank))
 	frac := rank - float64(lo)
 	if lo+1 >= len(sorted) {
-		return sorted[lo], nil
+		return sorted[lo]
 	}
-	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo]), nil
+	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo])
 }
 
 // StdDev returns the population standard deviation of xs, or 0 for fewer

@@ -23,33 +23,58 @@ func flatEnthalpyAt(enc *Enclosure, refC, waxMass, shellCap, tempC float64) floa
 	return waxMass*m.Enthalpy(tempC, refC) + shellCap*(tempC-refC)
 }
 
-// flatSolve inverts total enthalpy to (temperature, liquid fraction): it
-// solves waxMass*h(T) + shellCap*(T-ref) = H. The left side is continuous
-// and strictly increasing but kinked at the solidus and liquidus, so a
-// bracketed bisection is used — Newton steps oscillate across the
-// capacity discontinuity at the liquidus.
-func flatSolve(enc *Enclosure, refC, waxMass, shellCap, enthalpyJ float64) (tempC, liquidFrac float64) {
-	m := &enc.Material
-	// Wax-only inversion is exact when the shell is negligible and is a
-	// good starting bracket seed otherwise.
-	t0, f := m.TemperatureFromEnthalpy(enthalpyJ/waxMass, refC)
-	if shellCap <= 0 {
-		return t0, f
+// invertEnthalpy inverts total enclosure enthalpy to (temperature, liquid
+// fraction): it solves waxMass*h(T) + shellCap*(T-refC) = H in closed
+// form. The wax term clamps its reference to the solidus, as Enthalpy
+// does; the shell term does not. A non-positive shell capacity counts as
+// none.
+//
+// The left side is linear in T below the solidus and above the liquidus,
+// so those segments invert with one division. Across the melt range
+// T = sol + f*w with w the melt range, and the mushy-zone sensible heat is
+// quadratic in the liquid fraction f, so there
+//
+//	a*f^2 + b*f + c = 0,  a = waxMass*w*(cl-cs)/2,
+//	b = waxMass*(HoF + w*cs/2) + shellCap*w,  c = H_sol - H,
+//
+// whose root in [0, 1] is taken in the cancellation-free form
+// f = -2c / (b + sqrt(b^2 - 4ac)). A sharp melt (w = 0) needs no branch:
+// a = 0, so the root is exactly (H - H_sol)/(waxMass*HoF) and T is the
+// solidus. The cost is one segment lookup and at most one square root,
+// whatever the phase; flat_test.go checks it against a bisection oracle.
+func invertEnthalpy(m *Material, refC, waxMass, shellCap, enthalpyJ float64) (tempC, liquidFrac float64) {
+	if shellCap < 0 {
+		shellCap = 0
 	}
-	// The shell stores heat too, so the true temperature is at most the
-	// wax-only estimate and at least the reference.
-	lo, hi := refC, t0+1e-9
-	for i := 0; i < 60 && hi-lo > 1e-9; i++ {
-		mid := 0.5 * (lo + hi)
-		if flatEnthalpyAt(enc, refC, waxMass, shellCap, mid) < enthalpyJ {
-			lo = mid
-		} else {
-			hi = mid
-		}
+	sol, liq := m.SolidusC(), m.LiquidusC()
+	refW := refC
+	if refW > sol {
+		refW = sol
 	}
-	t := 0.5 * (lo + hi)
-	_, f = m.TemperatureFromEnthalpy((enthalpyJ-shellCap*(t-refC))/waxMass, refC)
-	return t, f
+	// Breakpoint enthalpies, in flatEnthalpyAt's arithmetic order.
+	waxSol := m.SpecificHeatSolid * (sol - refW)
+	hSol := waxMass*waxSol + shellCap*(sol-refC)
+	hLiq := waxMass*(waxSol+m.HeatOfFusion+mushySensible(m, 1)) + shellCap*(liq-refC)
+	switch {
+	case enthalpyJ <= hSol:
+		// The shell's reference offset is zero unless refC > sol.
+		return refW + (enthalpyJ-shellCap*(refW-refC))/(waxMass*m.SpecificHeatSolid+shellCap), 0
+	case enthalpyJ >= hLiq:
+		return liq + (enthalpyJ-hLiq)/(waxMass*m.SpecificHeatLiquid+shellCap), 1
+	}
+	w := liq - sol
+	a := waxMass * w * (m.SpecificHeatLiquid - m.SpecificHeatSolid) / 2
+	b := waxMass*(m.HeatOfFusion+w*m.SpecificHeatSolid/2) + shellCap*w
+	c := hSol - enthalpyJ
+	f := -2 * c / (b + math.Sqrt(math.Max(b*b-4*a*c, 0)))
+	// Rounding at the breakpoints may push the root a hair outside [0, 1];
+	// NaN (a poisoned enthalpy) passes through for the caller to catch.
+	if f < 0 {
+		f = 0
+	} else if f > 1 {
+		f = 1
+	}
+	return sol + f*w, f
 }
 
 // flatExchange advances a flat wax state by dt seconds exposed to air at
@@ -76,7 +101,7 @@ func flatExchange(enc *Enclosure, refC, waxMass, shellCap float64, enthalpyJ *fl
 	remaining := dt
 	for remaining > 0 {
 		steps++
-		t, f := flatSolve(enc, refC, waxMass, shellCap, *enthalpyJ)
+		t, f := invertEnthalpy(&enc.Material, refC, waxMass, shellCap, *enthalpyJ)
 		g := hA
 		if airC < t {
 			// Discharge is conduction-limited: solidification grows a
@@ -114,7 +139,7 @@ func flatExchange(enc *Enclosure, refC, waxMass, shellCap float64, enthalpyJ *fl
 // a flat wax state: the scalars a State carries, as returned by
 // State.Flat or recorded by a struct-of-arrays driver.
 func FlatSolve(enc *Enclosure, refC, waxMass, shellCap, enthalpyJ float64) (tempC, liquidFrac float64) {
-	return flatSolve(enc, refC, waxMass, shellCap, enthalpyJ)
+	return invertEnthalpy(&enc.Material, refC, waxMass, shellCap, enthalpyJ)
 }
 
 // FlatExchangeWithAir is ExchangeWithAir over a flat wax state: it

@@ -104,10 +104,10 @@ func (s *State) LiquidFraction() float64 {
 }
 
 // solve inverts total enthalpy to (temperature, liquid fraction); the
-// bisection lives in flatSolve (flat.go) so struct-of-arrays drivers run
-// the identical arithmetic.
+// closed form lives in invertEnthalpy (flat.go) so struct-of-arrays
+// drivers run the identical arithmetic.
 func (s *State) solve() (tempC, liquidFrac float64) {
-	return flatSolve(s.enc, s.refC, s.waxMass, s.shellCapacity, s.enthalpyJ)
+	return invertEnthalpy(&s.enc.Material, s.refC, s.waxMass, s.shellCapacity, s.enthalpyJ)
 }
 
 // apparentHeat returns dh/dT (J/(kg*K)) of the material at tempC: the
@@ -124,7 +124,7 @@ func apparentHeat(m *Material, tempC float64) float64 {
 		width := liq - sol
 		if width <= 0 {
 			// Sharp transition: effectively infinite; return a very large
-			// finite capacity so Newton steps stay finite.
+			// finite capacity so the exchange's time constant stays finite.
 			return m.HeatOfFusion * 1e3
 		}
 		frac := (tempC - sol) / width

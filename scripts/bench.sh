@@ -3,7 +3,8 @@
 # repo's perf trajectory as JSON:
 #
 #   BENCH_thermal.json — the compiled thermal-network stepper (the hot
-#                        loop every experiment bottoms out in)
+#                        loop every experiment bottoms out in) and the
+#                        PCM enthalpy inversion per phase (FlatSolve)
 #   BENCH_fleet.json   — the dcsim fluid loop and the sharded fleet epochs
 #                        built on top of it: the compiled-kernel scaling
 #                        matrix (racks=32/1k/10k x workers), the
@@ -104,7 +105,7 @@ bench() {
   echo "wrote $out (medians of $COUNT reps; raw in $raw)"
 }
 
-bench BENCH_thermal.json ./internal/thermal/...
+bench BENCH_thermal.json ./internal/thermal/... ./internal/pcm/...
 bench BENCH_fleet.json ./internal/dcsim/... ./internal/fleet/...
 bench BENCH_autoscale.json ./internal/autoscale/...
 
