@@ -95,9 +95,13 @@ func BenchmarkFig10Trace(b *testing.B) {
 
 func benchCooling(b *testing.B, m core.MachineClass) {
 	b.ReportAllocs()
-	s := core.NewStudy()
 	var red float64
 	for i := 0; i < b.N; i++ {
+		// A fresh Study per iteration: a reused one would answer from its
+		// result cache after the first.
+		b.StopTimer()
+		s := core.NewStudy()
+		b.StartTimer()
 		r, err := s.RunCoolingStudy(m)
 		if err != nil {
 			b.Fatal(err)
@@ -116,9 +120,13 @@ func BenchmarkFig11CoolingLoadOCP(b *testing.B) { benchCooling(b, core.OpenCompu
 
 func benchThroughput(b *testing.B, m core.MachineClass) {
 	b.ReportAllocs()
-	s := core.NewStudy()
 	var gain float64
 	for i := 0; i < b.N; i++ {
+		// A fresh Study per iteration: a reused one would answer from its
+		// result cache after the first.
+		b.StopTimer()
+		s := core.NewStudy()
+		b.StartTimer()
 		r, err := s.RunThroughputStudy(m)
 		if err != nil {
 			b.Fatal(err)

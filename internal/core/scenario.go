@@ -137,13 +137,10 @@ func (s *Study) RunScenarioStudy(ctx context.Context, spec ScenarioSpec) (*Scena
 	} else if name == "" {
 		name = "inline"
 	}
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
 	sp := s.Obs.StartSpan("core.scenario_study")
 	defer sp.End()
 
-	tr, err := sc.Gen.Build()
+	tr, err := sc.Build()
 	if err != nil {
 		return nil, err
 	}

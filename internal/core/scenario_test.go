@@ -91,6 +91,61 @@ func TestRunScenarioStudyDefaultsAndErrors(t *testing.T) {
 	}
 }
 
+// TestRunScenarioStudyEditedNamed pins the corpus memo's key end to
+// end: a spec taken from Named and edited afterwards runs the edited
+// workload, never the memoized corpus trace.
+func TestRunScenarioStudyEditedNamed(t *testing.T) {
+	s := NewStudy()
+	ctx := context.Background()
+	orig, err := s.RunScenarioStudy(ctx, ScenarioSpec{Name: "diurnal-baseline"})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	shorter, err := scenario.Named("diurnal-baseline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shorter.Gen.Days = 1
+	r, err := s.RunScenarioStudy(ctx, ScenarioSpec{Name: "diurnal-baseline", Scenario: shorter})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Epochs != orig.Epochs/2 {
+		t.Errorf("edited to 1 day: %d epochs, want %d", r.Epochs, orig.Epochs/2)
+	}
+	if r.Canonical != shorter.String() || r.Canonical == orig.Canonical {
+		t.Errorf("edited spec reported canonical text:\n%s", r.Canonical)
+	}
+
+	// A reseeded clone keeps the grid, so only the physics can tell; it
+	// must match a fresh parse of its own text, not the corpus run.
+	reseeded, err := scenario.Named("diurnal-baseline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reseeded.Gen.Seed++
+	got, err := s.RunScenarioStudy(ctx, ScenarioSpec{Scenario: reseeded})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := scenario.ParseString(reseeded.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.RunScenarioStudy(ctx, ScenarioSpec{Scenario: fresh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Epochs != orig.Epochs || got.Canonical != want.Canonical || got.Canonical == orig.Canonical {
+		t.Errorf("reseeded spec: epochs %d, canonical changed %v", got.Epochs, got.Canonical != orig.Canonical)
+	}
+	sameSeries(t, "reseeded wax cooling", got.Wax.CoolingLoadW, want.Wax.CoolingLoadW)
+	if got.Wax.PeakCoolingW == orig.Wax.PeakCoolingW && got.NoWax.PeakCoolingW == orig.NoWax.PeakCoolingW {
+		t.Error("reseeded spec reproduced the corpus run's peaks; it ran the memoized trace")
+	}
+}
+
 // sameSeries asserts bit-identity: identical grid and identical values
 // down to the float representation.
 func sameSeries(t *testing.T, label string, a, b *timeseries.Series) {

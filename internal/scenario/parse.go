@@ -40,6 +40,19 @@ const directiveList = "workload, days, step, seed, mean, peak, noise, sharpness,
 
 // Parse reads the scenario format into a validated Spec.
 func Parse(r io.Reader) (*Spec, error) {
+	spec, err := read(r)
+	if err != nil {
+		return nil, err
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	return spec, nil
+}
+
+// read parses the scenario text into a Spec without the end-to-end
+// checks (Spec.Build) that Parse adds.
+func read(r io.Reader) (*Spec, error) {
 	spec := Default()
 	seen := map[string]bool{}
 	var events []faults.Event
@@ -202,9 +215,6 @@ func Parse(r io.Reader) (*Spec, error) {
 	}
 	if len(spec.Gen.Samples) > 0 && spec.Gen.Pattern != workload.PatternTrace {
 		return nil, fmt.Errorf("scenario: sample lines need \"workload trace\", have %q", spec.Gen.Pattern.String())
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
 	}
 	return spec, nil
 }

@@ -107,34 +107,45 @@ func (s *Spec) TotalRacks() int {
 // populated, the policies exist, and every fault targets a rack or class
 // the mix actually has.
 func (s *Spec) Validate() error {
-	if _, err := s.Gen.Build(); err != nil {
-		return fmt.Errorf("scenario: workload: %w", err)
+	_, err := s.Build()
+	return err
+}
+
+// Build runs every check Validate runs and returns the workload trace the
+// spec describes. A spec whose workload section is word for word that of
+// an embedded scenario already loaded by Named gets the memoized trace
+// rather than a fresh build; either way the trace is bit-identical, and it
+// may be shared, so treat it as read-only.
+func (s *Spec) Build() (*workload.Trace, error) {
+	tr, err := buildGen(s.Gen)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: workload: %w", err)
 	}
 	if len(s.Mix) == 0 {
-		return fmt.Errorf("scenario: empty fleet mix")
+		return nil, fmt.Errorf("scenario: empty fleet mix")
 	}
 	for _, m := range s.Mix {
 		if _, ok := canonicalTag(m.Tag); !ok {
-			return fmt.Errorf("scenario: unknown class tag %q in mix", m.Tag)
+			return nil, fmt.Errorf("scenario: unknown class tag %q in mix", m.Tag)
 		}
 		if m.Racks <= 0 {
-			return fmt.Errorf("scenario: class %s has non-positive rack count %d", m.Tag, m.Racks)
+			return nil, fmt.Errorf("scenario: class %s has non-positive rack count %d", m.Tag, m.Racks)
 		}
 	}
 	if !validName(s.Balance, fleet.Policies()) {
-		return fmt.Errorf("scenario: unknown balance policy %q (want one of %s)",
+		return nil, fmt.Errorf("scenario: unknown balance policy %q (want one of %s)",
 			s.Balance, strings.Join(fleet.Policies(), ", "))
 	}
 	if s.Autoscale != "" && !validName(s.Autoscale, autoscale.Policies()) {
-		return fmt.Errorf("scenario: unknown autoscale policy %q (want one of %s)",
+		return nil, fmt.Errorf("scenario: unknown autoscale policy %q (want one of %s)",
 			s.Autoscale, strings.Join(autoscale.Policies(), ", "))
 	}
 	if s.Faults != nil {
 		if err := s.Faults.CheckTargets(s.TotalRacks(), len(s.Mix)); err != nil {
-			return fmt.Errorf("scenario: %w", err)
+			return nil, fmt.Errorf("scenario: %w", err)
 		}
 	}
-	return nil
+	return tr, nil
 }
 
 // validName reports whether name is one of the canonical spellings.
@@ -153,25 +164,7 @@ func validName(name string, names []string) bool {
 // the serving layer canonicalizes requests to.
 func (s *Spec) String() string {
 	var b strings.Builder
-	g := s.Gen
-	fmt.Fprintf(&b, "workload %s\n", g.Pattern)
-	fmt.Fprintf(&b, "days %d\n", g.Days)
-	fmt.Fprintf(&b, "step %s\n", faults.FormatSpan(g.StepS))
-	fmt.Fprintf(&b, "seed %d\n", g.Seed)
-	fmt.Fprintf(&b, "mean %s\n", fnum(g.MeanUtil))
-	fmt.Fprintf(&b, "peak %s\n", fnum(g.PeakUtil))
-	fmt.Fprintf(&b, "noise %s\n", fnum(g.NoiseAmp))
-	fmt.Fprintf(&b, "sharpness %s\n", fnum(g.PeakSharpness))
-	if g.WeekendDamping != 0 {
-		fmt.Fprintf(&b, "damping %s\n", fnum(g.WeekendDamping))
-	}
-	for _, smp := range g.Samples {
-		fmt.Fprintf(&b, "sample %s %s\n", faults.FormatSpan(smp.AtS), fnum(smp.Util))
-	}
-	for _, c := range g.Components {
-		b.WriteString(formatComponent(c))
-		b.WriteByte('\n')
-	}
+	writeGen(&b, s.Gen)
 	b.WriteString("fleet ")
 	for i, m := range s.Mix {
 		if i > 0 {
@@ -193,6 +186,30 @@ func (s *Spec) String() string {
 		}
 	}
 	return b.String()
+}
+
+// writeGen renders the workload section of the canonical serialization.
+// It is also the memo key for corpus traces (genKey), so two GenSpecs
+// that render alike build bit-identical traces.
+func writeGen(b *strings.Builder, g workload.GenSpec) {
+	fmt.Fprintf(b, "workload %s\n", g.Pattern)
+	fmt.Fprintf(b, "days %d\n", g.Days)
+	fmt.Fprintf(b, "step %s\n", faults.FormatSpan(g.StepS))
+	fmt.Fprintf(b, "seed %d\n", g.Seed)
+	fmt.Fprintf(b, "mean %s\n", fnum(g.MeanUtil))
+	fmt.Fprintf(b, "peak %s\n", fnum(g.PeakUtil))
+	fmt.Fprintf(b, "noise %s\n", fnum(g.NoiseAmp))
+	fmt.Fprintf(b, "sharpness %s\n", fnum(g.PeakSharpness))
+	if g.WeekendDamping != 0 {
+		fmt.Fprintf(b, "damping %s\n", fnum(g.WeekendDamping))
+	}
+	for _, smp := range g.Samples {
+		fmt.Fprintf(b, "sample %s %s\n", faults.FormatSpan(smp.AtS), fnum(smp.Util))
+	}
+	for _, c := range g.Components {
+		b.WriteString(formatComponent(c))
+		b.WriteByte('\n')
+	}
 }
 
 // formatComponent renders one component directive in canonical form.

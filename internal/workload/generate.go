@@ -276,16 +276,7 @@ func (g GenSpec) Build() (*Trace, error) {
 	var err error
 	switch g.Pattern {
 	case PatternDiurnal, PatternWeekly:
-		damping := g.WeekendDamping
-		if g.Pattern == PatternWeekly && damping == 0 {
-			damping = 0.35
-		}
-		tr, err = Generate(Options{
-			Days: g.Days, StepS: g.StepS, Seed: g.Seed,
-			MeanUtil: g.MeanUtil, PeakUtil: g.PeakUtil,
-			NoiseAmp: g.NoiseAmp, PeakSharpness: g.PeakSharpness,
-			WeekendDamping: damping,
-		})
+		tr, err = Generate(g.baseOptions())
 	case PatternFlat:
 		tr, err = g.buildFlat()
 	case PatternTrace:
@@ -325,6 +316,22 @@ func (g GenSpec) Build() (*Trace, error) {
 		}
 	}
 	return tr, nil
+}
+
+// baseOptions maps a diurnal or weekly spec (Days and StepS already
+// defaulted) onto the generator's options; weekly defaults its weekend
+// damping to 0.35.
+func (g GenSpec) baseOptions() Options {
+	damping := g.WeekendDamping
+	if g.Pattern == PatternWeekly && damping == 0 {
+		damping = 0.35
+	}
+	return Options{
+		Days: g.Days, StepS: g.StepS, Seed: g.Seed,
+		MeanUtil: g.MeanUtil, PeakUtil: g.PeakUtil,
+		NoiseAmp: g.NoiseAmp, PeakSharpness: g.PeakSharpness,
+		WeekendDamping: damping,
+	}
 }
 
 // buildFlat synthesizes the constant-floor pattern: MeanUtil everywhere

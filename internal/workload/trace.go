@@ -126,7 +126,12 @@ func classWeight(j JobType) float64 {
 }
 
 // Generate synthesizes a trace.
-func Generate(opts Options) (*Trace, error) {
+func Generate(opts Options) (*Trace, error) { return generate(opts, bisectGamma) }
+
+// generate is Generate with the normalization exponent's solver passed
+// in, so the tests can run the fixed-iteration oracle through the same
+// path.
+func generate(opts Options, solve func(meanAt func(float64) float64, target, lo, hi float64) float64) (*Trace, error) {
 	if opts.Days <= 0 {
 		return nil, fmt.Errorf("workload: non-positive day count %d", opts.Days)
 	}
@@ -207,16 +212,7 @@ func Generate(opts Options) (*Trace, error) {
 	if meanAt(lo) < opts.MeanUtil || meanAt(hi) > opts.MeanUtil {
 		return nil, fmt.Errorf("workload: normalization target mean=%v peak=%v unreachable", opts.MeanUtil, opts.PeakUtil)
 	}
-	gamma := lo
-	for iter := 0; iter < 80; iter++ {
-		mid := (lo + hi) / 2
-		if meanAt(mid) > opts.MeanUtil {
-			lo = mid
-		} else {
-			hi = mid
-		}
-		gamma = (lo + hi) / 2
-	}
+	gamma := solve(meanAt, opts.MeanUtil, lo, hi)
 	for i := range total {
 		newTotal := opts.PeakUtil * math.Pow(total[i]/rawPeak, gamma)
 		// Rescale classes proportionally so they still stack to the total.
@@ -240,6 +236,28 @@ func Generate(opts Options) (*Trace, error) {
 	opts.Obs.Counter("workload.traces_generated").Inc()
 	Observe(tr, opts.Obs)
 	return tr, nil
+}
+
+// bisectGamma finds the exponent where the decreasing meanAt crosses
+// target, bisecting [lo, hi] for at most 80 iterations. Once an iteration
+// leaves the bracket unchanged every later one repeats it exactly, so it
+// stops there with the bit-identical answer (after ~57 on the paper trace).
+func bisectGamma(meanAt func(float64) float64, target, lo, hi float64) float64 {
+	gamma := lo
+	for iter := 0; iter < 80; iter++ {
+		mid := (lo + hi) / 2
+		prevLo, prevHi := lo, hi
+		if meanAt(mid) > target {
+			lo = mid
+		} else {
+			hi = mid
+		}
+		gamma = (lo + hi) / 2
+		if lo == prevLo && hi == prevHi {
+			break
+		}
+	}
+	return gamma
 }
 
 // Observe records a trace's headline statistics (sample count, peak and

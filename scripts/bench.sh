@@ -13,6 +13,15 @@
 #   BENCH_autoscale.json — the paired control-loop-on/off fleet run; its
 #                        overhead-pct metric is the autoscaler's epoch-loop
 #                        cost with the clock drift cancelled (target < 5%)
+#   BENCH_scenario.json — the scenario parse path: serve.ParseRequest on a
+#                        corpus-name hit, an inline source and table2;
+#                        scenario.Named on the warm corpus memo; and a
+#                        cold GenSpec.Build for a two-day and a one-year
+#                        corpus workload
+#   BENCH_paper.json   — the root paper benchmarks: the Figure 10 trace,
+#                        the Figure 11 cooling and Figure 12 throughput
+#                        studies per machine class, and the Table 2 TCO
+#                        scenarios
 #   BENCH_serve.json   — a ttsimload overload run against a spawned
 #                        ttsimd: client-observed p50/p99 latency and the
 #                        shed rate (shape documented at the bottom)
@@ -39,12 +48,13 @@ cd "$(dirname "$0")/.."
 COUNT="${COUNT:-5}"
 BENCHTIME="${BENCHTIME:-1s}"
 
+# bench OUT PATTERN PKG... runs the benchmarks matching PATTERN.
 bench() {
-  local out="$1"
-  shift
+  local out="$1" pattern="$2"
+  shift 2
   local raw="${out%.json}.raw.json"
   local txt
-  txt=$(go test -run='^$' -bench=. -benchmem -count="$COUNT" -benchtime="$BENCHTIME" "$@")
+  txt=$(go test -run='^$' -bench="$pattern" -benchmem -count="$COUNT" -benchtime="$BENCHTIME" "$@")
   echo "$txt"
   echo "$txt" | awk '
     BEGIN { print "["; sep = "  " }
@@ -105,9 +115,11 @@ bench() {
   echo "wrote $out (medians of $COUNT reps; raw in $raw)"
 }
 
-bench BENCH_thermal.json ./internal/thermal/... ./internal/pcm/...
-bench BENCH_fleet.json ./internal/dcsim/... ./internal/fleet/...
-bench BENCH_autoscale.json ./internal/autoscale/...
+bench BENCH_thermal.json . ./internal/thermal/... ./internal/pcm/...
+bench BENCH_fleet.json . ./internal/dcsim/... ./internal/fleet/...
+bench BENCH_autoscale.json . ./internal/autoscale/...
+bench BENCH_scenario.json . ./internal/serve/ ./internal/scenario/ ./internal/workload/
+bench BENCH_paper.json '^Benchmark(Fig1[012]|Table2TCOScenarios)' .
 
 # BENCH_serve.json — the serving layer under forced overload. ttsimload
 # spawns an in-process ttsimd with a small pool and a tight per-client
